@@ -15,7 +15,7 @@ import (
 )
 
 // noisy-sta is the paper's deployment target: SGDP inside full-chip STA.
-// A fixed ladder of 45 netgen meshes from 10³ to 3·10⁴ gates, with
+// A fixed ladder of 50 netgen meshes from 10³ to 3·10⁴ gates, with
 // noise-site fractions of 0, 2% and 10% cycling along it, because pass cost
 // grows with size times noise density. Many close rungs, rather than a few
 // far-apart sizes, keep the latency distribution dense around its
@@ -24,7 +24,7 @@ import (
 // WorstSlack). Each design is generated untimed, timed for its passes, and
 // dropped. No transistor-level simulation runs here.
 const (
-	staDesigns   = 45
+	staDesigns   = 50
 	staMinGates  = 1000
 	staMaxGates  = 30000
 	staWorkers   = 2
@@ -194,7 +194,7 @@ func (s *noisySTAInst) run(ctx context.Context, n int, tr *trace.Tracer) runStat
 			continue
 		}
 		for p := 0; p < passes; p++ {
-			s.pass(ctx, i, g, tr, &st, first && p == 0)
+			s.pass(ctx, i, i*passes+p, g, tr, &st, first && p == 0)
 		}
 	}
 	return st
@@ -230,8 +230,8 @@ func (s *noisySTAInst) timePass(ctx context.Context, g staGenerated, tr *trace.T
 	return out, nil
 }
 
-// pass times one pass of design i and checks it.
-func (s *noisySTAInst) pass(ctx context.Context, i int, g staGenerated, tr *trace.Tracer, st *runStats, first bool) {
+// pass times operation op, one pass of design i, and checks it.
+func (s *noisySTAInst) pass(ctx context.Context, i, op int, g staGenerated, tr *trace.Tracer, st *runStats, first bool) {
 	st.attempted++
 	o, err := s.timePass(ctx, g, tr)
 	st.wall += o.lat
@@ -251,8 +251,7 @@ func (s *noisySTAInst) pass(ctx context.Context, i int, g staGenerated, tr *trac
 	if first {
 		s.slack[i] = o.slack
 	}
-	st.latMs = append(st.latMs, ms(o.lat))
-	st.work += float64(len(g.d.Gates))
+	st.done(op, o.lat, float64(len(g.d.Gates)))
 }
 
 func (s *noisySTAInst) layers(spans []trace.SpanRecord, d map[string]int64, st runStats) map[string]float64 {

@@ -2,7 +2,7 @@
 # Builds the benchmark from source and runs one workload. Run it from the
 # repository root:
 #
-#   bash perfbench/run.sh --workload table1-paper --seed 1 --seconds 20 --trace 0
+#   bash perfbench/run.sh --workload table1-paper --seed 1 --seconds 15 --trace 0
 #
 # The binary, the Go build cache and the traced runs' span files stay under
 # .bench_build/ in the checkout; the build never contacts a module proxy.

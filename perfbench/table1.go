@@ -288,8 +288,7 @@ func (t *table1Inst) one(ctx context.Context, i int, techs []eqwave.Technique, s
 			return 0, false
 		}
 	}
-	st.latMs = append(st.latMs, ms(lat))
-	st.work++
+	st.done(i, lat, 1)
 	return cmp.TrueArrival, true
 }
 
