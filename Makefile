@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test race bench bench-micro bench-batch check staticcheck metrics-demo logs-demo chaos fuzz serve-smoke serve-crash loadtest
+.PHONY: all vet build test race bench bench-micro check staticcheck metrics-demo logs-demo chaos fuzz serve-smoke serve-crash loadtest
 
 all: check
 
@@ -30,13 +30,6 @@ race:
 bench:
 	$(GO) run ./cmd/bench -workload table1-small
 
-# Batch-engine micro-benchmark: K lockstep transients through the shared
-# trunk vs the same K cases run scalar, with allocation counts — the
-# batched steady state must beat scalar on both time/op and allocs/op
-# (see EXPERIMENTS.md "Batched lockstep solving").
-bench-batch:
-	$(GO) test -run XXX -bench BenchmarkBatchRun -benchtime 2s -benchmem ./internal/spice/
-
 # Go micro/scaling benchmarks: the parallel sweep engine and the crossing
 # scan on the arrival-measurement hot path.
 bench-micro:
@@ -51,11 +44,18 @@ bench-micro:
 chaos:
 	$(GO) test -race -run 'Chaos' ./internal/spice/... ./internal/sweep/... ./internal/xtalk/... ./internal/experiments/...
 
-# Short fuzz pass over the waveform constructor and crossing scan; CI runs
-# the same budget, longer local runs just raise -fuzztime.
+# Short fuzz pass over the waveform constructor, the crossing scan and the
+# parsers of untrusted input (Liberty, netlist incl. its quantity syntax,
+# Verilog); CI runs the same budget, longer local runs just raise
+# -fuzztime. Each -fuzz pattern is anchored so it matches exactly one
+# target (a bare FuzzParse would also match FuzzParseQuantity).
 fuzz:
-	$(GO) test -run XXX -fuzz FuzzWaveNew -fuzztime 15s ./internal/wave/
-	$(GO) test -run XXX -fuzz FuzzCrossings -fuzztime 15s ./internal/wave/
+	$(GO) test -run XXX -fuzz '^FuzzWaveNew$$' -fuzztime 15s ./internal/wave/
+	$(GO) test -run XXX -fuzz '^FuzzCrossings$$' -fuzztime 15s ./internal/wave/
+	$(GO) test -run XXX -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/liberty/
+	$(GO) test -run XXX -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/netlist/
+	$(GO) test -run XXX -fuzz '^FuzzParseQuantity$$' -fuzztime 15s ./internal/netlist/
+	$(GO) test -run XXX -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/verilog/
 
 # Lint with staticcheck when available (CI installs it; local runs skip
 # gracefully rather than demanding an install).

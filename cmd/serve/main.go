@@ -3,8 +3,7 @@
 //
 // Usage:
 //
-//	serve [-addr :9090] [-workers 0] [-shards 4] [-runners 1]
-//	      [-batch 8] [-no-batch] [-no-fastpath]
+//	serve [-addr :9090] [-workers 0] [-runners 1] [-no-fastpath]
 //	      [-backlog 64] [-quota 8] [-artifacts DIR]
 //	      [-data DIR] [-drain-timeout 30s] [-recover requeue|interrupt]
 //	      [-log info] [-log-format human]
@@ -38,8 +37,8 @@
 // finish, and a clean-shutdown record lets the next boot skip recovery.
 //
 // -smoke runs the self-test CI uses: boot on a loopback port, drive the
-// HTTP API end to end (an STA job and a sharded transistor-level pushout
-// job), compare every number against the equivalent direct in-process run,
+// HTTP API end to end (an STA job and a transistor-level pushout job),
+// compare every number against the equivalent direct in-process run,
 // verify an identical resubmission is served from the cache with zero new
 // solves, and verify a draining manager answers 503 + Retry-After. Exit
 // status 0 means the service reproduces the direct path bit for bit.
@@ -71,9 +70,6 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":9090", "listen address")
 		workers      = flag.Int("workers", 0, "sweep workers per job (0 = all cores)")
-		shards       = flag.Int("shards", 4, "consistent-hash shards per sweep job")
-		batch        = flag.Int("batch", 8, "lockstep batch size for sweep jobs (1 = scalar; ignored when shards > 1)")
-		noBatch      = flag.Bool("no-batch", false, "disable batched lockstep solving (same as -batch 1)")
 		noFastPath   = flag.Bool("no-fastpath", false, "disable the spice solver fast path in every job")
 		runners      = flag.Int("runners", 1, "jobs executed concurrently")
 		backlog      = flag.Int("backlog", 64, "max queued jobs before 429")
@@ -103,7 +99,7 @@ func main() {
 	}
 
 	if *smoke {
-		if err := runSmoke(*workers, *shards); err != nil {
+		if err := runSmoke(*workers); err != nil {
 			fmt.Fprintln(os.Stderr, "serve: smoke FAILED:", err)
 			os.Exit(1)
 		}
@@ -111,13 +107,9 @@ func main() {
 		return
 	}
 
-	if *noBatch {
-		*batch = 1
-	}
 	opts := jobs.Options{
 		Backlog: *backlog, TenantQuota: *quota, Runners: *runners,
-		Workers: *workers, Shards: *shards,
-		NoFastPath: *noFastPath, Batch: *batch,
+		Workers: *workers, NoFastPath: *noFastPath,
 		ArtifactsDir: *artifacts,
 		DataDir:      *data, Recover: policy,
 	}
@@ -170,8 +162,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("serve: listening on %s (runners=%d workers=%d shards=%d backlog=%d quota=%d durable=%v)\n",
-		ln.Addr(), *runners, *workers, *shards, *backlog, *quota, *data != "")
+	fmt.Printf("serve: listening on %s (runners=%d workers=%d backlog=%d quota=%d durable=%v)\n",
+		ln.Addr(), *runners, *workers, *backlog, *quota, *data != "")
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

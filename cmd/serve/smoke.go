@@ -19,17 +19,17 @@ import (
 )
 
 // runSmoke boots the service on a loopback port and drives the HTTP API
-// end to end: an elmore STA job and a sharded transistor-level pushout
-// job, each checked bit-for-bit against the direct in-process run, then
-// resubmitted to prove the content-addressed cache serves them with zero
-// new solves.
-func runSmoke(workers, shards int) error {
+// end to end: an elmore STA job and a transistor-level pushout job, each
+// checked bit-for-bit against the direct in-process run on the sequential
+// oracle (one worker), then resubmitted to prove the content-addressed
+// cache serves them with zero new solves.
+func runSmoke(workers int) error {
 	if workers == 0 {
 		workers = 2
 	}
 	reg := telemetry.New()
 	mgr := jobs.NewManager(jobs.Options{
-		Workers: workers, Shards: shards, Telemetry: reg,
+		Workers: workers, Telemetry: reg,
 	})
 	defer mgr.Close()
 	srv := &httpserver.Server{Registry: reg, Jobs: mgr}
@@ -67,13 +67,13 @@ func runSmoke(workers, shards int) error {
 	for _, tc := range []struct {
 		name string
 		cfg  jobs.Config
-	}{{"sta-elmore", staCfg}, {"pushout-sharded", pushCfg}} {
+	}{{"sta-elmore", staCfg}, {"pushout", pushCfg}} {
 		got, err := submitAndWait(base, tc.cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", tc.name, err)
 		}
 		want, err := jobs.RunDirect(context.Background(), tc.cfg,
-			jobs.Options{Workers: workers, Shards: shards, Telemetry: telemetry.New()})
+			jobs.Options{Workers: 1, Telemetry: telemetry.New()})
 		if err != nil {
 			return fmt.Errorf("%s direct run: %w", tc.name, err)
 		}

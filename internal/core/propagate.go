@@ -38,10 +38,10 @@ type Comparison struct {
 	TrueDelay float64
 	// Results has one entry per technique, in input order.
 	Results []TechniqueResult
-	// ReplayHits and ReplayMisses count Γeff replay-cache outcomes for
-	// this case: techniques often emit near-identical equivalent
-	// waveforms, and each hit is one transistor-level transient that was
-	// not re-simulated.
+	// ReplayHits and ReplayMisses count Γeff replays for this case: a hit
+	// is a technique whose Γeff and replay window exactly equal an earlier
+	// technique's (e.g. SGDP's safeguard falling back to another fit), so
+	// its transistor-level transient was not re-simulated.
 	ReplayHits, ReplayMisses int
 }
 
@@ -54,32 +54,21 @@ type CompareOptions struct {
 	// Techniques to evaluate; nil selects eqwave.All().
 	Techniques []eqwave.Technique
 	// Telemetry, if non-nil, receives per-technique fit timers
-	// ("eqwave.fit_seconds.<name>"), the replay-cache hit/miss/eviction
-	// counters and the spice engine counters of the replays (via the
-	// gate's registry, which this call temporarily sets when unset).
+	// ("eqwave.fit_seconds.<name>"), the replay hit/miss counters and the
+	// spice engine counters of the replays (via the gate's registry, which
+	// this call temporarily sets when unset).
 	Telemetry *telemetry.Registry
-}
-
-// CompareTechniques computes Γeff with every technique, replays each Γeff
-// through the gate backend, and scores the predicted output arrival
-// against the reference noisy output.
-//
-// Deprecated: use CompareTechniquesWith, which adds cancellation and
-// telemetry; this wrapper forwards to it with background context and no
-// registry and is kept for source compatibility.
-func CompareTechniques(gate *GateSim, in eqwave.Input, trueOut *wave.Waveform, techs []eqwave.Technique) (*Comparison, error) {
-	return CompareTechniquesWith(gate, in, trueOut, CompareOptions{Techniques: techs})
 }
 
 // CompareTechniquesWith computes Γeff with every configured technique,
 // replays each Γeff through the gate backend, and scores the predicted
 // output arrival against the reference noisy output.
 //
-// Replays are memoized within the case: techniques that emit
-// near-identical ramps (quantized on slope, 50% crossing, rails and replay
-// window — see replaycache.go) share one transistor-level transient. The
-// Comparison reports the hit/miss counts, and opts.Telemetry (when set)
-// accumulates them across cases.
+// A technique whose Γeff and replay window exactly equal an earlier
+// technique's reuses that replay instead of re-simulating it; nothing
+// short of an exact match is reused, so every result is the replay of its
+// own ramp. The Comparison reports the hit/miss counts, and
+// opts.Telemetry (when set) accumulates them across cases.
 //
 // The reference input/output pair and the noiseless pair must share the
 // same time base (the experiment drivers guarantee this by construction).
@@ -105,15 +94,20 @@ func CompareTechniquesWith(gate *GateSim, in eqwave.Input, trueOut *wave.Wavefor
 		return nil, fmt.Errorf("core: reference delay: %w", err)
 	}
 	cmp := &Comparison{TrueArrival: trueArr, TrueDelay: trueDelay}
-	cache := newReplayCache()
-	defer cache.publish(opts.Telemetry)
+	// The case's earlier replays: at most one per technique, so a linear
+	// scan is the whole lookup.
+	var replays []replay
+	defer func() {
+		opts.Telemetry.Counter("core.replay_hits").Add(int64(cmp.ReplayHits))
+		opts.Telemetry.Counter("core.replay_misses").Add(int64(cmp.ReplayMisses))
+	}()
 	for _, tech := range techs {
 		if ctx.Err() != nil {
 			return nil, telemetry.Canceled(ctx, "core: comparison canceled before %s", tech.Name())
 		}
 		r := TechniqueResult{Name: tech.Name()}
 		// One child span per technique: the Γeff fit and the (possibly
-		// cache-served) replay nest under it, with cache outcome as events.
+		// reused) replay nest under it, with the reuse outcome as an event.
 		tctx, tspan := trace.Start(ctx, "core.technique", trace.String("technique", tech.Name()))
 		stopFit := opts.Telemetry.Timer("eqwave.fit_seconds." + tech.Name()).Start()
 		_, fitSpan := trace.Start(tctx, "eqwave.fit")
@@ -129,12 +123,16 @@ func CompareTechniquesWith(gate *GateSim, in eqwave.Input, trueOut *wave.Wavefor
 		}
 		r.Gamma = gamma
 		start, stop := WindowFor(gamma, trueOut, 0.2e-9)
-		hitsBefore := cache.hits
-		est, err := cache.outputForRamp(tctx, gate, gamma, start, stop)
-		if cache.hits > hitsBefore {
+		var est *wave.Waveform
+		if prev, ok := findReplay(replays, gamma, start, stop); ok {
+			cmp.ReplayHits++
 			tspan.Event("core.replay.cache_hit")
+			est, err = prev.out, prev.err
 		} else {
+			cmp.ReplayMisses++
 			tspan.Event("core.replay.cache_miss")
+			est, err = gate.OutputForRampCtx(tctx, gamma, start, stop)
+			replays = append(replays, replay{gamma: gamma, start: start, stop: stop, out: est, err: err})
 		}
 		if err != nil {
 			if ctx.Err() != nil {
@@ -163,8 +161,28 @@ func CompareTechniquesWith(gate *GateSim, in eqwave.Input, trueOut *wave.Wavefor
 		tspan.End()
 		cmp.Results = append(cmp.Results, r)
 	}
-	cmp.ReplayHits, cmp.ReplayMisses = cache.hits, cache.misses
 	return cmp, nil
+}
+
+// replay is one Γeff replay of a case: the ramp, the window it was
+// simulated over, and the gate response (or the replay's error, which a
+// retry would reproduce identically).
+type replay struct {
+	gamma       wave.Ramp
+	start, stop float64
+	out         *wave.Waveform
+	err         error
+}
+
+// findReplay returns the earlier replay of exactly this ramp over exactly
+// this window, if there is one.
+func findReplay(replays []replay, gamma wave.Ramp, start, stop float64) (replay, bool) {
+	for _, r := range replays {
+		if r.gamma == gamma && r.start == start && r.stop == stop {
+			return r, true
+		}
+	}
+	return replay{}, false
 }
 
 // Result returns the entry for a named technique.

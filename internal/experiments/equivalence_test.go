@@ -28,9 +28,9 @@ import (
 // up on arrival-derived numbers at the ~1e-14 s scale (observed ≤7e-15 s).
 // 1e-13 s keeps an order of margin over that while still sitting an order
 // below the ~1 ps differences that would signal a real divergence — and
-// well below the paper-table resolution. Within one path (including the
-// batched engine), results remain bit-identical at any worker or batch
-// size; this tolerance is only about fast-vs-slow.
+// well below the paper-table resolution. Within one path, results remain
+// bit-identical at any worker count; this tolerance is only about
+// fast-vs-slow.
 const statTol = 1e-13
 
 func closeStat(a, b float64) bool {

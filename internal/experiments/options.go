@@ -31,13 +31,6 @@ type SweepOptions struct {
 	// independent cases out over N workers. Results are aggregated in case
 	// order, so any worker count produces bit-identical statistics.
 	Workers int
-	// Shards splits the case space into that many consistent-hash shards
-	// (sweep.ShardOf on the case index), executed shard by shard over the
-	// pool and merged at the global case indices. Like Workers, it never
-	// changes the numbers: any shard count produces bit-identical
-	// statistics. <= 1 disables sharding. The job service (internal/jobs)
-	// uses shards as its unit of scheduling.
-	Shards int
 	// Seed drives any randomized case generation (e.g. the pushout
 	// Monte-Carlo alignment draws). Ignored by fully deterministic sweeps.
 	Seed int64
@@ -81,14 +74,6 @@ type SweepOptions struct {
 	// NoFastPath disables the spice solver fast path in every transient the
 	// sweep runs (cmd/repro's -no-fastpath; see spice.Options.NoFastPath).
 	NoFastPath bool
-	// Batch sets the lockstep group size for batch-capable sweeps: contiguous
-	// groups of up to Batch cases go to the spice batch engine, which shares
-	// one DC operating point and one transient trunk across the group (see
-	// spice.Simulator.RunBatch). Results are bit-identical to the scalar path
-	// at any Workers × Batch combination. <= 1 disables batching; ignored
-	// when Shards > 1 (a shard's case indices are not contiguous, so its
-	// groups would not share alignment structure).
-	Batch int
 }
 
 // ctx returns the configured context, defaulting to Background.
@@ -99,51 +84,20 @@ func (o SweepOptions) ctx() context.Context {
 	return context.Background()
 }
 
-// runSweep dispatches n independent cases over the sweep engine, routing
-// Workers == 1 through the strictly sequential oracle path the parallel
-// path is tested against. It returns the partial-results contract of
-// sweep.RunPartial: on cancellation the completed cases are kept and
-// flagged.
+// runSweep dispatches n independent cases over the sweep engine (see
+// sweep.Run: Workers == 1 is the strictly sequential oracle path the
+// parallel path is tested against). On cancellation the completed cases
+// are kept and flagged.
 func runSweep[W, R any](so SweepOptions, n int,
 	newWorker func(int) (W, error),
 	do func(context.Context, int, W) (R, error)) ([]R, []bool, *sweep.FailureReport, error) {
 
-	opts := sweep.Options{
+	return sweep.Run(so.ctx(), n, sweep.Options{
 		Workers: so.Workers, Progress: so.Progress, Telemetry: so.Telemetry,
 		Tracer:    so.Tracer,
 		KeepGoing: so.KeepGoing, CaseTimeout: so.CaseTimeout, CaseRetries: so.CaseRetries,
 		Inject: so.Inject,
-	}
-	if so.Shards > 1 {
-		return sweep.RunShardedPartial(so.ctx(), n, so.Shards, opts, newWorker, do)
-	}
-	if so.Workers == 1 {
-		return sweep.SequentialPartial(so.ctx(), n, opts, newWorker, do)
-	}
-	return sweep.RunPartial(so.ctx(), n, opts, newWorker, do)
-}
-
-// runSweepBatched is runSweep for batch-capable experiments: when Batch > 1
-// (and the sweep is not sharded) contiguous case groups are offered to
-// doGroup through sweep.RunBatchedPartial, with do as the scalar fallback
-// for anything a group cannot settle; otherwise it degenerates to runSweep.
-// Workers == 1 with batching runs the groups in index order on a one-worker
-// pool — still bit-identical to the sequential oracle.
-func runSweepBatched[W, R any](so SweepOptions, n int,
-	newWorker func(int) (W, error),
-	doGroup sweep.GroupFunc[W, R],
-	do func(context.Context, int, W) (R, error)) ([]R, []bool, *sweep.FailureReport, error) {
-
-	if so.Batch <= 1 || so.Shards > 1 {
-		return runSweep(so, n, newWorker, do)
-	}
-	opts := sweep.Options{
-		Workers: so.Workers, Progress: so.Progress, Telemetry: so.Telemetry,
-		Tracer:    so.Tracer,
-		KeepGoing: so.KeepGoing, CaseTimeout: so.CaseTimeout, CaseRetries: so.CaseRetries,
-		Inject: so.Inject,
-	}
-	return sweep.RunBatchedPartial(so.ctx(), n, so.Batch, opts, newWorker, doGroup, do)
+	}, newWorker, do)
 }
 
 // canceled reports whether err is a cancellation (and so partial results

@@ -1,12 +1,12 @@
 // Package jobs is the timing-as-a-service layer: a long-running in-process
 // job service that accepts batch sweep and STA configurations, queues them
-// with priorities and per-tenant quotas behind a bounded backlog, shards
-// each job's case space across the sweep worker pool by consistent hash on
-// the case index, and serves results from a content-addressed store so
-// resubmitting an identical configuration costs zero solves.
+// with priorities and per-tenant quotas behind a bounded backlog, runs each
+// job's cases over the sweep worker pool, and serves results from a
+// content-addressed store so resubmitting an identical configuration costs
+// zero solves.
 //
 // The package wires together what the engine already provides as libraries:
-// the bounded worker pool with bit-identical sharding (internal/sweep), the
+// the bounded, bit-identical worker pool (internal/sweep), the
 // quarantine/keep-going resilience layer, per-job run artifacts
 // (internal/obs) as audit trails, hierarchical tracing, and the telemetry
 // registry — all behind a Submit/Get/Result request path that
@@ -15,8 +15,8 @@
 //
 // Job identity is content-addressed: a configuration is normalized
 // (defaults applied), canonically serialized, and hashed; execution details
-// that provably do not change the numbers — worker count, shard count —
-// live on the Manager, not in the configuration, so they never fragment the
+// that provably do not change the numbers — the worker count — live on the
+// Manager, not in the configuration, so they never fragment the
 // cache.
 package jobs
 

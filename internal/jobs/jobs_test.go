@@ -172,11 +172,11 @@ func TestSTAJobMatchesDirectRun(t *testing.T) {
 }
 
 // TestConcurrentSubmissionsBitIdentical: many distinct jobs submitted
-// concurrently, executed by several runners over a sharded pool, must each
+// concurrently, executed by several runners over a worker pool, must each
 // match their direct run exactly.
 func TestConcurrentSubmissionsBitIdentical(t *testing.T) {
 	lib := testLibertyText(t)
-	m := NewManager(Options{Runners: 3, Workers: 2, Shards: 4, Telemetry: telemetry.New()})
+	m := NewManager(Options{Runners: 3, Workers: 2, Telemetry: telemetry.New()})
 	defer m.Close()
 
 	slews := []int{60, 80, 100, 120, 140, 160}
@@ -214,14 +214,15 @@ func TestConcurrentSubmissionsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPushoutJobMatchesDirectRunSharded: a spice-backed sweep job, sharded
-// over the pool, must be bit-identical to the direct experiments driver.
-func TestPushoutJobMatchesDirectRunSharded(t *testing.T) {
+// TestPushoutJobMatchesDirectRun: a spice-backed sweep job, run over a
+// two-worker pool, must be bit-identical to the direct experiments driver
+// (which runs the sequential oracle).
+func TestPushoutJobMatchesDirectRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transistor-level sweep")
 	}
 	cfg := Config{Experiment: ExpPushout, Cases: 3, RangeS: 0.4e-9}
-	m := NewManager(Options{Workers: 2, Shards: 2, Telemetry: telemetry.New()})
+	m := NewManager(Options{Workers: 2, Telemetry: telemetry.New()})
 	defer m.Close()
 	j, err := m.Submit(cfg, "t1", 0)
 	if err != nil {
@@ -242,7 +243,7 @@ func TestPushoutJobMatchesDirectRunSharded(t *testing.T) {
 	if got.QuietArrival != direct.QuietArrival || got.Mean != direct.Mean ||
 		got.Min != direct.Min || got.Max != direct.Max ||
 		!reflect.DeepEqual(got.Pushouts, direct.Pushouts) {
-		t.Errorf("sharded service pushout differs from direct run:\n got %+v\nwant %+v", got, direct)
+		t.Errorf("service pushout differs from direct run:\n got %+v\nwant %+v", got, direct)
 	}
 
 	done, total := j.Progress()

@@ -31,8 +31,8 @@ func canceledErr(err error) bool {
 
 // RunDirect executes a configuration synchronously, outside any queue or
 // cache — the reference path smoke tests and goldens compare the service
-// against. Only the execution fields of opts (Workers, Shards, Telemetry)
-// are used.
+// against. Only the execution fields of opts (Workers, NoFastPath,
+// Telemetry) are used.
 func RunDirect(ctx context.Context, cfg Config, opts Options) (*Result, error) {
 	norm, err := cfg.Normalized()
 	if err != nil {
@@ -154,14 +154,12 @@ func errString(err error) string {
 }
 
 // sweepOptions assembles the sweep-control block every sweep job shares:
-// the manager's worker pool and shard count, the job's context, the shared
-// registry and the per-job tracer, plus a progress hook updating the job.
+// the manager's worker pool, the job's context, the shared registry and the
+// per-job tracer, plus a progress hook updating the job.
 func (m *Manager) sweepOptions(ctx context.Context, j *Job, tracer *trace.Tracer, keepGoing bool) experiments.SweepOptions {
 	return experiments.SweepOptions{
 		Workers:    m.opts.Workers,
-		Shards:     m.opts.Shards,
 		NoFastPath: m.opts.NoFastPath,
-		Batch:      m.opts.Batch,
 		Ctx:        ctx,
 		Telemetry:  m.reg,
 		Tracer:     tracer,
@@ -248,8 +246,8 @@ func failureRecords(r *sweep.FailureReport) []FailureRecord {
 
 // runSTA parses the job's netlist and library, runs the timer and flattens
 // the per-net timing, critical path and slack report. STA jobs are pure
-// table-lookup timing — fast enough that they run unsharded on the runner
-// goroutine itself; ctx still cancels a pathological design at the next
+// table-lookup timing — fast enough that they run on the runner goroutine
+// itself; ctx still cancels a pathological design at the next
 // level boundary.
 func runSTA(ctx context.Context, cfg Config, reg *telemetry.Registry, tracer *trace.Tracer) (*Result, error) {
 	design, err := netlist.Parse(strings.NewReader(cfg.Netlist))

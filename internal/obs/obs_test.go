@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"noisewave/internal/sweep"
@@ -39,14 +40,16 @@ func TestProgressHookAndPhase(t *testing.T) {
 	if got := p.Snapshot(); got.Phase != "table1 I" || got.Total != 200 || got.Done != 0 {
 		t.Errorf("after SetPhase: %+v", got)
 	}
-	var forwarded int
-	hook := p.Hook(func(done, total int) { forwarded = done })
+	// The hook forwards from every goroutine below, so the forwarded
+	// value must be written atomically.
+	var forwarded atomic.Int64
+	hook := p.Hook(func(done, total int) { forwarded.Store(int64(done)) })
 	hook(7, 200)
 	if got := p.Snapshot(); got.Done != 7 || got.Total != 200 {
 		t.Errorf("after hook: %+v", got)
 	}
-	if forwarded != 7 {
-		t.Errorf("next callback got %d", forwarded)
+	if got := forwarded.Load(); got != 7 {
+		t.Errorf("next callback got %d", got)
 	}
 
 	// Concurrent updates (run with -race).
@@ -70,7 +73,7 @@ func TestRunArtifacts(t *testing.T) {
 	tr := trace.New()
 	reg := telemetry.New()
 	n := 5
-	_, _, report, err := sweep.RunPartial(context.Background(), n,
+	_, _, report, err := sweep.Run(context.Background(), n,
 		sweep.Options{Workers: 2, Tracer: tr, Telemetry: reg, KeepGoing: true},
 		func(int) (struct{}, error) { return struct{}{}, nil },
 		func(_ context.Context, i int, _ struct{}) (int, error) {

@@ -50,8 +50,7 @@ type Simulator struct {
 	// loop allocates nothing.
 	tr       transient
 	probeIDs []circuit.NodeID
-	res      *Result     // previous run's result, recycled under Options.ReuseResult
-	bs       *batchState // fork snapshot + buffers of RunBatch (see batch.go)
+	res      *Result // previous run's result, recycled under Options.ReuseResult
 
 	// stats accumulates engine counters for the current solve; they are
 	// flushed to Options.Telemetry once per Run/OperatingPoint call so the

@@ -20,7 +20,7 @@ func TestRunPartialCancellation(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var done atomic.Int64
-			results, completed, _, err := RunPartial(ctx, n, Options{Workers: workers}, noState,
+			results, completed, _, err := Run(ctx, n, Options{Workers: workers}, noState,
 				func(ctx context.Context, i int, _ struct{}) (int, error) {
 					if done.Add(1) == stopAfter {
 						cancel()
@@ -57,14 +57,15 @@ func TestRunPartialCancellation(t *testing.T) {
 	}
 }
 
-// TestSequentialPartialCancellation: the sequential oracle completes the
-// exact prefix before the cancellation point and nothing after it.
+// TestSequentialPartialCancellation: the sequential oracle (Workers == 1)
+// completes the exact prefix before the cancellation point and nothing
+// after it.
 func TestSequentialPartialCancellation(t *testing.T) {
 	const n, stopAfter = 20, 5
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	calls := 0
-	results, completed, _, err := SequentialPartial(ctx, n, Options{}, noState,
+	results, completed, _, err := Run(ctx, n, Options{Workers: 1}, noState,
 		func(ctx context.Context, i int, _ struct{}) (int, error) {
 			calls++
 			if calls == stopAfter {
@@ -100,12 +101,12 @@ func TestSweepTelemetryComparable(t *testing.T) {
 		run     func(reg *telemetry.Registry) error
 	}{
 		{"sequential", 1, func(reg *telemetry.Registry) error {
-			_, _, _, err := SequentialPartial(context.Background(), n, Options{Telemetry: reg}, noState,
+			_, _, _, err := Run(context.Background(), n, Options{Workers: 1, Telemetry: reg}, noState,
 				func(ctx context.Context, i int, _ struct{}) (int, error) { return i, nil })
 			return err
 		}},
 		{"pool", 4, func(reg *telemetry.Registry) error {
-			_, _, _, err := RunPartial(context.Background(), n, Options{Workers: 4, Telemetry: reg}, noState,
+			_, _, _, err := Run(context.Background(), n, Options{Workers: 4, Telemetry: reg}, noState,
 				func(ctx context.Context, i int, _ struct{}) (int, error) { return i, nil })
 			return err
 		}},
@@ -144,33 +145,43 @@ func TestSweepTelemetryComparable(t *testing.T) {
 	}
 }
 
-// TestRunPartialCaseError: a case failure keeps the other completed cases
-// and returns the original (non-cancellation) error.
+// TestRunPartialCaseError: at every worker count, a case failure stops
+// the sweep with the original (non-cancellation) error, keeps the other
+// completed cases — on the sequential oracle exactly the prefix before the
+// failure — and names the failing case in the report.
 func TestRunPartialCaseError(t *testing.T) {
+	const n, failAt = 8, 3
 	boom := errors.New("boom")
-	results, completed, report, err := RunPartial(context.Background(), 8, Options{Workers: 2}, noState,
-		func(ctx context.Context, i int, _ struct{}) (int, error) {
-			if i == 3 {
-				return 0, boom
+	for _, workers := range workerCounts {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			results, completed, report, err := Run(context.Background(), n, Options{Workers: workers}, noState,
+				func(ctx context.Context, i int, _ struct{}) (int, error) {
+					if i == failAt {
+						return 0, boom
+					}
+					return i, nil
+				})
+			if !errors.Is(err, boom) {
+				t.Fatalf("error %v, want boom", err)
 			}
-			return i, nil
+			if errors.Is(err, telemetry.ErrCanceled) {
+				t.Error("case failure must not masquerade as a cancellation")
+			}
+			if completed[failAt] {
+				t.Error("failing case marked completed")
+			}
+			for i, ok := range completed {
+				if ok && results[i] != i {
+					t.Errorf("results[%d] = %d, want %d", i, results[i], i)
+				}
+				if workers == 1 && ok != (i < failAt) {
+					t.Errorf("sequential oracle: completed[%d] = %v, want the prefix before case %d", i, ok, failAt)
+				}
+			}
+			// Even without KeepGoing the report names the case that aborted.
+			if f, ok := report.Case(failAt); !ok || !errors.Is(f.Err, boom) {
+				t.Errorf("failure report does not name case %d: %v", failAt, report)
+			}
 		})
-	if !errors.Is(err, boom) {
-		t.Fatalf("error %v, want boom", err)
-	}
-	if errors.Is(err, telemetry.ErrCanceled) {
-		t.Error("case failure must not masquerade as a cancellation")
-	}
-	if completed[3] {
-		t.Error("failing case marked completed")
-	}
-	for i, ok := range completed {
-		if ok && results[i] != i {
-			t.Errorf("results[%d] = %d, want %d", i, results[i], i)
-		}
-	}
-	// Even without KeepGoing the report names the case that aborted.
-	if f, ok := report.Case(3); !ok || !errors.Is(f.Err, boom) {
-		t.Errorf("failure report does not name case 3: %v", report)
 	}
 }

@@ -21,7 +21,7 @@ func TestChaosWorkerPanicQuarantines(t *testing.T) {
 	const n = 24
 	inj := faultinject.New(faultinject.Config{Seed: 3, PanicEvery: 5, PanicMax: 2})
 	reg := telemetry.New()
-	results, completed, report, err := RunPartial(context.Background(), n,
+	results, completed, report, err := Run(context.Background(), n,
 		Options{Workers: 4, KeepGoing: true, Inject: inj, Telemetry: reg}, noState,
 		func(ctx context.Context, i int, _ struct{}) (int, error) { return i * i, nil })
 	if err != nil {
@@ -62,61 +62,12 @@ func TestChaosWorkerPanicQuarantines(t *testing.T) {
 	}
 }
 
-// TestChaosDisablesBatching: an armed fault injector forces RunBatchedPartial
-// onto the scalar path — group dispatch would route around the per-case
-// injection points (stalls, worker panics) in the scalar worker loop, so
-// chaos drills must behave identically at any batch size.
-func TestChaosDisablesBatching(t *testing.T) {
-	const n = 24
-	inj := faultinject.New(faultinject.Config{Seed: 3, PanicEvery: 5, PanicMax: 2})
-	reg := telemetry.New()
-	var groupCalls atomic.Int64
-	results, completed, report, err := RunBatchedPartial(context.Background(), n, 4,
-		Options{Workers: 4, KeepGoing: true, Inject: inj, Telemetry: reg}, noState,
-		func(ctx context.Context, lo, hi int, _ struct{}, deliver DeliverFunc[int]) error {
-			groupCalls.Add(1)
-			for i := lo; i < hi; i++ {
-				deliver(i, i*i, nil)
-			}
-			return nil
-		},
-		func(ctx context.Context, i int, _ struct{}) (int, error) { return i * i, nil })
-	if err != nil {
-		t.Fatalf("KeepGoing batched sweep errored: %v", err)
-	}
-	if groupCalls.Load() != 0 {
-		t.Errorf("group function called %d times with chaos armed, want 0", groupCalls.Load())
-	}
-	if got := report.Quarantined(); got != 2 {
-		t.Fatalf("quarantined %d cases, want 2 (same as the scalar drill): %v", got, report)
-	}
-	nDone := 0
-	for i, ok := range completed {
-		if ok {
-			nDone++
-			if results[i] != i*i {
-				t.Errorf("results[%d] = %d, want %d", i, results[i], i*i)
-			}
-		}
-	}
-	if nDone != n-2 {
-		t.Errorf("%d cases completed, want %d", nDone, n-2)
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["sweep.worker_panics"] != 2 {
-		t.Errorf("sweep.worker_panics = %d, want 2", snap.Counters["sweep.worker_panics"])
-	}
-	if snap.Counters["sweep.batch.groups"] != 0 {
-		t.Errorf("sweep.batch.groups = %d, want 0 with chaos armed", snap.Counters["sweep.batch.groups"])
-	}
-}
-
 // TestChaosPanicRetryRebuildsWorker: a case that panics once succeeds on
 // its retry, and the worker state is rebuilt through the factory before
 // the retry runs.
 func TestChaosPanicRetryRebuildsWorker(t *testing.T) {
 	var builds, tries atomic.Int64
-	results, completed, report, err := RunPartial(context.Background(), 6,
+	results, completed, report, err := Run(context.Background(), 6,
 		Options{Workers: 2, KeepGoing: true, CaseRetries: 1},
 		func(w int) (int, error) { builds.Add(1); return w, nil },
 		func(ctx context.Context, i int, _ int) (int, error) {
@@ -147,7 +98,7 @@ func TestChaosStallTimeoutQuarantines(t *testing.T) {
 	const n = 8
 	inj := faultinject.New(faultinject.Config{StallEvery: 1, StallMax: 1, StallFor: time.Hour})
 	start := time.Now()
-	_, completed, report, err := RunPartial(context.Background(), n,
+	_, completed, report, err := Run(context.Background(), n,
 		Options{Workers: 2, KeepGoing: true, CaseTimeout: 50 * time.Millisecond, Inject: inj}, noState,
 		func(ctx context.Context, i int, _ struct{}) (int, error) {
 			if ctx.Err() != nil {
@@ -189,8 +140,8 @@ func TestChaosStallTimeoutQuarantines(t *testing.T) {
 // case stops the sweep with ErrCaseTimeout — still distinct from a
 // cancellation — and the completed subset is retained.
 func TestCaseTimeoutAbortsWithoutKeepGoing(t *testing.T) {
-	_, completed, report, err := SequentialPartial(context.Background(), 6,
-		Options{CaseTimeout: 30 * time.Millisecond}, noState,
+	_, completed, report, err := Run(context.Background(), 6,
+		Options{Workers: 1, CaseTimeout: 30 * time.Millisecond}, noState,
 		func(ctx context.Context, i int, _ struct{}) (int, error) {
 			if i == 2 {
 				<-ctx.Done()
@@ -218,41 +169,45 @@ func TestCaseTimeoutAbortsWithoutKeepGoing(t *testing.T) {
 func TestKeepGoingCompletesRemaining(t *testing.T) {
 	const n = 15
 	boom := errors.New("boom")
-	var lastDone atomic.Int64
-	results, completed, report, err := RunPartial(context.Background(), n,
-		Options{Workers: 3, KeepGoing: true, Progress: func(done, total int) { lastDone.Store(int64(done)) }},
-		noState,
-		func(ctx context.Context, i int, _ struct{}) (int, error) {
-			if i%5 == 0 {
-				return 0, fmt.Errorf("case %d: %w", i, boom)
+	for _, workers := range workerCounts {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var lastDone atomic.Int64
+			results, completed, report, err := Run(context.Background(), n,
+				Options{Workers: workers, KeepGoing: true, Progress: func(done, total int) { lastDone.Store(int64(done)) }},
+				noState,
+				func(ctx context.Context, i int, _ struct{}) (int, error) {
+					if i%5 == 0 {
+						return 0, fmt.Errorf("case %d: %w", i, boom)
+					}
+					return i + 1, nil
+				})
+			if err != nil {
+				t.Fatalf("KeepGoing sweep errored: %v", err)
 			}
-			return i + 1, nil
+			if report.Quarantined() != 3 {
+				t.Fatalf("quarantined %d, want 3: %v", report.Quarantined(), report)
+			}
+			// Failures are reported by case index, in ascending order.
+			for j, idx := range []int{0, 5, 10} {
+				if f := report.Failures[j]; f.Index != idx || !errors.Is(f.Err, boom) {
+					t.Errorf("failure %d = case %d (%v), want case %d: %v", j, f.Index, f.Err, idx, report)
+				}
+			}
+			for i := 0; i < n; i++ {
+				if i%5 == 0 {
+					if completed[i] {
+						t.Errorf("failing case %d marked completed", i)
+					}
+					continue
+				}
+				if !completed[i] || results[i] != i+1 {
+					t.Errorf("case %d: completed=%v r=%d", i, completed[i], results[i])
+				}
+			}
+			if lastDone.Load() != n {
+				t.Errorf("final progress done=%d, want %d (quarantined cases count)", lastDone.Load(), n)
+			}
 		})
-	if err != nil {
-		t.Fatalf("KeepGoing sweep errored: %v", err)
-	}
-	if report.Quarantined() != 3 {
-		t.Fatalf("quarantined %d, want 3: %v", report.Quarantined(), report)
-	}
-	for _, idx := range []int{0, 5, 10} {
-		f, ok := report.Case(idx)
-		if !ok || !errors.Is(f.Err, boom) {
-			t.Errorf("report missing case %d: %v", idx, report)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if i%5 == 0 {
-			if completed[i] {
-				t.Errorf("failing case %d marked completed", i)
-			}
-			continue
-		}
-		if !completed[i] || results[i] != i+1 {
-			t.Errorf("case %d: completed=%v r=%d", i, completed[i], results[i])
-		}
-	}
-	if lastDone.Load() != n {
-		t.Errorf("final progress done=%d, want %d (quarantined cases count)", lastDone.Load(), n)
 	}
 }
 
@@ -260,8 +215,8 @@ func TestKeepGoingCompletesRemaining(t *testing.T) {
 // quarantine semantics, including worker-state rebuild after a panic.
 func TestSequentialKeepGoingPanic(t *testing.T) {
 	builds := 0
-	results, completed, report, err := SequentialPartial(context.Background(), 5,
-		Options{KeepGoing: true},
+	results, completed, report, err := Run(context.Background(), 5,
+		Options{Workers: 1, KeepGoing: true},
 		func(int) (int, error) { builds++; return 0, nil },
 		func(ctx context.Context, i int, _ int) (int, error) {
 			if i == 1 {
@@ -290,7 +245,7 @@ func TestSequentialKeepGoingPanic(t *testing.T) {
 // deadlocking, and the report counts the lost workers.
 func TestChaosAllWorkersLost(t *testing.T) {
 	var builds atomic.Int64
-	_, _, report, err := RunPartial(context.Background(), 12,
+	_, _, report, err := Run(context.Background(), 12,
 		Options{Workers: 2, KeepGoing: true},
 		func(w int) (int, error) {
 			if builds.Add(1) > 2 {
@@ -314,7 +269,7 @@ func TestGaugesResetAndFinalProgressOnError(t *testing.T) {
 	reg := telemetry.New()
 	type call struct{ done, total int }
 	var calls []call
-	_, completed, _, err := RunPartial(context.Background(), 16,
+	_, completed, _, err := Run(context.Background(), 16,
 		Options{Workers: 2, Telemetry: reg, Progress: func(done, total int) {
 			calls = append(calls, call{done, total}) // serialized by the sweep
 		}}, noState,
@@ -350,7 +305,7 @@ func TestGaugesResetAndFinalProgressOnError(t *testing.T) {
 	// stale-gauge bug).
 	reg2 := telemetry.New()
 	ctx, cancel := context.WithCancel(context.Background())
-	_, _, _, err = SequentialPartial(ctx, 10, Options{Telemetry: reg2}, noState,
+	_, _, _, err = Run(ctx, 10, Options{Workers: 1, Telemetry: reg2}, noState,
 		func(ctx context.Context, i int, _ struct{}) (int, error) {
 			if i == 3 {
 				cancel()

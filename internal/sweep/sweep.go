@@ -22,14 +22,14 @@
 //     itself and sees a strictly increasing completed-case count; on an
 //     early exit (error or cancellation) one final call repeats the last
 //     count so displays can render a final state.
-//   - Cancellation is first-class: when the parent context is canceled the
-//     Partial variants return the completed cases together with an error
-//     matching telemetry.ErrCanceled, so drivers can report partial
-//     statistics instead of discarding finished work.
+//   - Cancellation is first-class: when the parent context is canceled Run
+//     returns the completed cases together with an error matching
+//     telemetry.ErrCanceled, so drivers can report partial statistics
+//     instead of discarding finished work.
 //   - An Options.Telemetry registry observes the sweep: queue depth and
 //     pool-size gauges (both reset to zero on every exit path),
 //     dispatched/completed counters, and per-worker case counts and busy
-//     time — identically for Run and the Sequential oracle.
+//     time — identically for the pool and the sequential oracle.
 //
 // On top of those semantics sits a resilience layer (see resilience.go): a
 // panicking case is recovered instead of crashing the process, cases can
@@ -53,9 +53,9 @@ import (
 // Options configures a Run.
 type Options struct {
 	// Workers is the worker-pool size. Values <= 0 select
-	// runtime.GOMAXPROCS(0). Workers == 1 still runs on the calling
-	// goroutine's pool machinery but executes cases strictly in index
-	// order, matching a plain loop.
+	// runtime.GOMAXPROCS(0). Workers == 1 runs no pool at all: cases
+	// execute strictly in index order on the calling goroutine — the
+	// sequential oracle the pool is tested against.
 	Workers int
 	// Progress, if non-nil, is invoked after each completed (or, with
 	// KeepGoing, quarantined) case with the number of settled cases and the
@@ -66,10 +66,10 @@ type Options struct {
 	// Telemetry, if non-nil, receives the sweep's counters: dispatched and
 	// completed cases, the undispatched-queue depth gauge, the worker-pool
 	// size gauge, and per-worker case counts and busy time (metric names in
-	// EXPERIMENTS.md "Observability"). Both Run and Sequential record them,
-	// so throughput derived from the snapshot is comparable across worker
-	// counts. Gauges are reset to zero on every exit path, including early
-	// errors and cancellation.
+	// EXPERIMENTS.md "Observability"). The pool and the sequential oracle
+	// record the same set, so throughput derived from the snapshot is
+	// comparable across worker counts. Gauges are reset to zero on every
+	// exit path, including early errors and cancellation.
 	Telemetry *telemetry.Registry
 	// Tracer, if non-nil, records one hierarchical root span per case
 	// ("sweep.case", trace.Case = the case index) covering every attempt.
@@ -105,14 +105,34 @@ type Options struct {
 	Inject *faultinject.Injector
 }
 
+// meters are the sweep-level instruments shared by the pool and the
+// sequential loop (all nil-safe).
+type meters struct {
+	poolSize, queueDepth              *telemetry.Gauge
+	dispatched, completed, quarantine *telemetry.Counter
+}
+
+func newMeters(reg *telemetry.Registry) meters {
+	return meters{
+		poolSize:   reg.Gauge("sweep.pool_size"),
+		queueDepth: reg.Gauge("sweep.queue_depth"),
+		dispatched: reg.Counter("sweep.cases_dispatched"),
+		completed:  reg.Counter("sweep.cases_completed"),
+		quarantine: reg.Counter("sweep.cases_quarantined"),
+	}
+}
+
 // workerTelemetry returns the per-worker instruments (nil-safe).
 func (o Options) workerTelemetry(w int) (*telemetry.Counter, *telemetry.Timer) {
 	return o.Telemetry.Counter(fmt.Sprintf("sweep.worker.%d.cases", w)),
 		o.Telemetry.Timer(fmt.Sprintf("sweep.worker.%d.busy_seconds", w))
 }
 
-// Run evaluates do(ctx, i, state) for every case index i in [0, n) over a
-// bounded pool of workers and returns the results ordered by case index.
+// Run evaluates do(ctx, i, state) for every case index i in [0, n) and
+// returns the results ordered by case index, together with the flags of
+// the cases that completed and the FailureReport of the resilience layer.
+// Options.Workers == 1 runs the cases in index order on the calling
+// goroutine; any other value fans them out over a bounded worker pool.
 //
 // newWorker is called once per worker with the worker index and builds the
 // worker-private state passed to every case that worker executes. do must
@@ -120,36 +140,21 @@ func (o Options) workerTelemetry(w int) (*telemetry.Counter, *telemetry.Timer) {
 // deterministic-ordering guarantee to extend to the results' values.
 //
 // The first error — from a worker factory, a case, or the parent context —
-// cancels dispatch and is returned after in-flight cases drain. Case
-// errors are returned as-is (do is expected to wrap them with case
-// context). On any error the results are discarded; use RunPartial to keep
-// the completed subset (and, with Options.KeepGoing, to keep sweeping past
-// failures).
-func Run[W, R any](ctx context.Context, n int, opts Options,
-	newWorker func(worker int) (W, error),
-	do func(ctx context.Context, i int, state W) (R, error)) ([]R, error) {
-
-	results, _, _, err := RunPartial(ctx, n, opts, newWorker, do)
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// RunPartial is Run, but also reports which cases completed, keeps the
-// completed results when the sweep stops early, and returns the
-// FailureReport of the resilience layer: on cancellation (an error
-// matching telemetry.ErrCanceled) or a case failure, results holds every
-// completed case's value at its index (the zero value elsewhere) and
-// completed flags exactly those indices. Aggregating the completed subset
-// in index order stays deterministic for a deterministic do.
+// cancels dispatch and is returned after in-flight cases drain; among the
+// case errors observed, the lowest-index one wins. Case errors are returned
+// as-is (do is expected to wrap them with case context). On any error,
+// results still holds every completed case's value at its index (the zero
+// value elsewhere) and completed flags exactly those indices, so
+// aggregating the completed subset in index order stays deterministic. A
+// parent-context cancellation is reported as an error matching
+// telemetry.ErrCanceled.
 //
 // The report is nil when no case failed and no worker was lost. With
 // Options.KeepGoing, failing cases are quarantined into the report and err
-// stays nil as long as the pool survived and the parent context stayed
+// stays nil as long as a worker survived and the parent context stayed
 // alive; without it, the report still describes the (single) failing case
 // that aborted the sweep.
-func RunPartial[W, R any](ctx context.Context, n int, opts Options,
+func Run[W, R any](ctx context.Context, n int, opts Options,
 	newWorker func(worker int) (W, error),
 	do func(ctx context.Context, i int, state W) (R, error)) (results []R, completed []bool, report *FailureReport, err error) {
 
@@ -168,19 +173,38 @@ func RunPartial[W, R any](ctx context.Context, n int, opts Options,
 	if workers > n {
 		workers = n
 	}
-	poolSize := opts.Telemetry.Gauge("sweep.pool_size")
-	poolSize.Set(float64(workers))
-	queueDepth := opts.Telemetry.Gauge("sweep.queue_depth")
+	m := newMeters(opts.Telemetry)
+	m.poolSize.Set(float64(workers))
 	// Every exit path leaves the gauges at zero: a snapshot taken after the
 	// sweep — even one that errored out early — must not claim a live pool
 	// or a pending queue.
 	defer func() {
-		poolSize.Set(0)
-		queueDepth.Set(0)
+		m.poolSize.Set(0)
+		m.queueDepth.Set(0)
 	}()
-	dispatched := opts.Telemetry.Counter("sweep.cases_dispatched")
-	completedCtr := opts.Telemetry.Counter("sweep.cases_completed")
-	quarantinedCtr := opts.Telemetry.Counter("sweep.cases_quarantined")
+	if opts.Workers == 1 {
+		report, err = sequential(ctx, n, opts, m, results, completed, newWorker, do)
+	} else {
+		report, err = pool(ctx, n, workers, opts, m, results, completed, newWorker, do)
+	}
+	return results, completed, report, err
+}
+
+// newReport returns the FailureReport for a finished sweep, or nil when
+// nothing failed.
+func newReport(n int, failures []CaseFailure, workersLost int) *FailureReport {
+	if len(failures) == 0 && workersLost == 0 {
+		return nil
+	}
+	sortFailures(failures)
+	return &FailureReport{Total: n, Failures: failures, WorkersLost: workersLost}
+}
+
+// pool runs the cases over workers goroutines fed in index order.
+func pool[W, R any](ctx context.Context, n, workers int, opts Options, m meters,
+	results []R, completed []bool,
+	newWorker func(worker int) (W, error),
+	do func(ctx context.Context, i int, state W) (R, error)) (*FailureReport, error) {
 
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
@@ -218,7 +242,7 @@ func RunPartial[W, R any](ctx context.Context, n int, opts Options,
 		mu.Lock()
 		failures = append(failures, f)
 		mu.Unlock()
-		quarantinedCtr.Inc()
+		m.quarantine.Inc()
 	}
 	// workerDown retires a worker whose state is unbuildable. Without
 	// KeepGoing that aborts the sweep (the historical contract); with it
@@ -241,14 +265,14 @@ func RunPartial[W, R any](ctx context.Context, n int, opts Options,
 	indices := make(chan int)
 	go func() {
 		defer close(indices)
-		queueDepth.Set(float64(n))
+		m.queueDepth.Set(float64(n))
 		for i := 0; i < n; i++ {
 			select {
 			case indices <- i:
-				dispatched.Inc()
-				queueDepth.Set(float64(n - i - 1))
+				m.dispatched.Inc()
+				m.queueDepth.Set(float64(n - i - 1))
 			case <-ctx.Done():
-				queueDepth.Set(0)
+				m.queueDepth.Set(0)
 				return
 			}
 		}
@@ -293,7 +317,7 @@ func RunPartial[W, R any](ctx context.Context, n int, opts Options,
 					results[i] = out.value
 					completed[i] = true
 					wCases.Inc()
-					completedCtr.Inc()
+					m.completed.Inc()
 					complete()
 				}
 			}
@@ -301,10 +325,7 @@ func RunPartial[W, R any](ctx context.Context, n int, opts Options,
 	}
 	wg.Wait()
 
-	if len(failures) > 0 || workersLost > 0 {
-		sortFailures(failures)
-		report = &FailureReport{Total: n, Failures: failures, WorkersLost: workersLost}
-	}
+	report := newReport(n, failures, workersLost)
 	// One final serialized Progress call on early exits, so displays can
 	// render the state the sweep actually stopped in. (The workers have
 	// drained; no call can race this one.)
@@ -315,16 +336,16 @@ func RunPartial[W, R any](ctx context.Context, n int, opts Options,
 	}
 	if firstErr != nil {
 		finalProgress()
-		return results, completed, report, firstErr
+		return report, firstErr
 	}
 	// Dispatch may have been stopped by the parent context without any
 	// case failing.
 	if parent.Err() != nil {
 		finalProgress()
-		return results, completed, report, telemetry.Canceled(parent,
+		return report, telemetry.Canceled(parent,
 			"sweep: canceled after %d/%d cases", done, n)
 	}
-	return results, completed, report, nil
+	return report, nil
 }
 
 // sortFailures orders quarantine records by ascending case index (workers
@@ -337,61 +358,16 @@ func sortFailures(fs []CaseFailure) {
 	}
 }
 
-// Sequential runs the same contract as Run without goroutines: cases
-// execute strictly in index order on the calling goroutine. The experiment
-// drivers use it as the workers=1 oracle the parallel path is tested
-// against. On any error the results are discarded; use SequentialPartial
-// to keep the completed prefix.
-func Sequential[W, R any](ctx context.Context, n int, opts Options,
+// sequential is the pool's contract without goroutines: cases execute
+// strictly in index order on the calling goroutine, as worker 0. It is the
+// oracle the pool is tested against, and records the same telemetry.
+func sequential[W, R any](ctx context.Context, n int, opts Options, m meters,
+	results []R, completed []bool,
 	newWorker func(worker int) (W, error),
-	do func(ctx context.Context, i int, state W) (R, error)) ([]R, error) {
+	do func(ctx context.Context, i int, state W) (R, error)) (*FailureReport, error) {
 
-	results, _, _, err := SequentialPartial(ctx, n, opts, newWorker, do)
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// SequentialPartial is Sequential with RunPartial's partial-results and
-// failure-report contract: on cancellation or a case failure, results
-// holds the completed prefix and completed flags it; with KeepGoing,
-// failing cases are quarantined into the report and the loop continues. It
-// records the same telemetry as RunPartial (the single worker is worker
-// 0), so snapshot-derived throughput is comparable between the sequential
-// oracle and the pool.
-func SequentialPartial[W, R any](ctx context.Context, n int, opts Options,
-	newWorker func(worker int) (W, error),
-	do func(ctx context.Context, i int, state W) (R, error)) (results []R, completed []bool, report *FailureReport, err error) {
-
-	if n < 0 {
-		return nil, nil, nil, fmt.Errorf("sweep: negative case count %d", n)
-	}
-	results = make([]R, n)
-	completed = make([]bool, n)
-	if n == 0 {
-		return results, completed, nil, nil
-	}
-	poolSize := opts.Telemetry.Gauge("sweep.pool_size")
-	poolSize.Set(1)
-	queueDepth := opts.Telemetry.Gauge("sweep.queue_depth")
-	defer func() {
-		poolSize.Set(0)
-		queueDepth.Set(0)
-	}()
-	dispatched := opts.Telemetry.Counter("sweep.cases_dispatched")
-	completedCtr := opts.Telemetry.Counter("sweep.cases_completed")
-	quarantinedCtr := opts.Telemetry.Counter("sweep.cases_quarantined")
 	wCases, wBusy := opts.workerTelemetry(0)
-
 	var failures []CaseFailure
-	workersLost := 0
-	buildReport := func() *FailureReport {
-		if len(failures) == 0 && workersLost == 0 {
-			return nil
-		}
-		return &FailureReport{Total: n, Failures: failures, WorkersLost: workersLost}
-	}
 	done := 0
 	settle := func() {
 		done++
@@ -399,55 +375,52 @@ func SequentialPartial[W, R any](ctx context.Context, n int, opts Options,
 			opts.Progress(done, n)
 		}
 	}
-	finalProgress := func() {
+	// stop is every early exit: one final Progress call repeating the
+	// settled count, then the report and the error.
+	stop := func(workersLost int, err error) (*FailureReport, error) {
 		if opts.Progress != nil {
 			opts.Progress(done, n)
 		}
+		return newReport(n, failures, workersLost), err
 	}
 
 	rebuild := func() (W, error) { return newWorker(0) }
 	state, err := newWorker(0)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("sweep: worker 0: %w", err)
+		return nil, fmt.Errorf("sweep: worker 0: %w", err)
 	}
-	queueDepth.Set(float64(n))
+	m.queueDepth.Set(float64(n))
 	for i := 0; i < n; i++ {
 		if ctx.Err() != nil {
-			finalProgress()
-			return results, completed, buildReport(), telemetry.Canceled(ctx,
-				"sweep: canceled after %d/%d cases", i, n)
+			return stop(0, telemetry.Canceled(ctx,
+				"sweep: canceled after %d/%d cases", i, n))
 		}
-		dispatched.Inc()
-		queueDepth.Set(float64(n - i - 1))
+		m.dispatched.Inc()
+		m.queueDepth.Set(float64(n - i - 1))
 		caseStart := time.Now()
 		out, ns := runCase(ctx, opts, i, state, rebuild, do)
 		state = ns
 		wBusy.Observe(time.Since(caseStart).Seconds())
 		switch {
 		case out.cancel != nil:
-			finalProgress()
-			return results, completed, buildReport(), out.cancel
+			return stop(0, out.cancel)
 		case out.failure != nil:
 			failures = append(failures, *out.failure)
 			if !opts.KeepGoing {
-				finalProgress()
-				return results, completed, buildReport(), out.failure.Err
+				return stop(0, out.failure.Err)
 			}
-			quarantinedCtr.Inc()
+			m.quarantine.Inc()
 			settle()
 			if out.workerDead {
-				workersLost = 1
-				finalProgress()
-				return results, completed, buildReport(),
-					fmt.Errorf("%w (last worker: %v)", ErrWorkersLost, out.failure.Err)
+				return stop(1, fmt.Errorf("%w (last worker: %v)", ErrWorkersLost, out.failure.Err))
 			}
 		default:
 			results[i] = out.value
 			completed[i] = true
 			wCases.Inc()
-			completedCtr.Inc()
+			m.completed.Inc()
 			settle()
 		}
 	}
-	return results, completed, buildReport(), nil
+	return newReport(n, failures, 0), nil
 }

@@ -14,11 +14,15 @@ import (
 // noState is the worker factory for stateless tests.
 func noState(int) (struct{}, error) { return struct{}{}, nil }
 
+// workerCounts are the pool sizes the worker-count property tests cover:
+// the sequential oracle and two pools.
+var workerCounts = []int{1, 2, 4}
+
 // TestOrderingDeterminism: results must come back indexed by case, not by
 // completion order, even when workers finish in a scrambled sequence.
 func TestOrderingDeterminism(t *testing.T) {
 	const n = 64
-	got, err := Run(context.Background(), n, Options{Workers: 8}, noState,
+	got, _, _, err := Run(context.Background(), n, Options{Workers: 8}, noState,
 		func(_ context.Context, i int, _ struct{}) (int, error) {
 			// Pseudo-random per-case delay scrambles completion order
 			// deterministically (no global rand, no shared state).
@@ -42,7 +46,7 @@ func TestWorkerState(t *testing.T) {
 	const n, workers = 32, 4
 	var created int32
 	seen := make([]int32, workers)
-	_, err := Run(context.Background(), n, Options{Workers: workers},
+	_, _, _, err := Run(context.Background(), n, Options{Workers: workers},
 		func(w int) (int, error) {
 			atomic.AddInt32(&created, 1)
 			return w, nil
@@ -72,7 +76,7 @@ func TestErrorCancelsDispatch(t *testing.T) {
 	const n = 200
 	boom := errors.New("boom")
 	var started int32
-	_, err := Run(context.Background(), n, Options{Workers: 4}, noState,
+	_, _, _, err := Run(context.Background(), n, Options{Workers: 4}, noState,
 		func(ctx context.Context, i int, _ struct{}) (int, error) {
 			atomic.AddInt32(&started, 1)
 			if i == 5 {
@@ -100,7 +104,7 @@ func TestLowestErrorIndexWins(t *testing.T) {
 	const n = 16
 	var wg sync.WaitGroup
 	wg.Add(n) // hold every case open until all have started
-	_, err := Run(context.Background(), n, Options{Workers: n}, noState,
+	_, _, _, err := Run(context.Background(), n, Options{Workers: n}, noState,
 		func(_ context.Context, i int, _ struct{}) (int, error) {
 			wg.Done()
 			wg.Wait()
@@ -117,7 +121,7 @@ func TestLowestErrorIndexWins(t *testing.T) {
 // TestWorkerFactoryError: a failing worker factory aborts the sweep.
 func TestWorkerFactoryError(t *testing.T) {
 	bad := errors.New("no simulator")
-	_, err := Run(context.Background(), 8, Options{Workers: 2},
+	_, _, _, err := Run(context.Background(), 8, Options{Workers: 2},
 		func(w int) (struct{}, error) {
 			if w == 1 {
 				return struct{}{}, bad
@@ -130,26 +134,36 @@ func TestWorkerFactoryError(t *testing.T) {
 	}
 }
 
-// TestProgressSerialized: done counts must be strictly increasing and end
-// at n — the callback contract that lets cmd/repro print without locks.
+// TestProgressSerialized: at every worker count, done counts must be
+// strictly increasing over the full total and end at n — the callback
+// contract that lets cmd/repro print without locks.
 func TestProgressSerialized(t *testing.T) {
 	const n = 50
-	var calls []int
-	_, err := Run(context.Background(), n, Options{
-		Workers:  8,
-		Progress: func(done, total int) { calls = append(calls, done) }, // serialized by Run
-	}, noState,
-		func(_ context.Context, i int, _ struct{}) (int, error) { return i, nil })
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(calls) != n {
-		t.Fatalf("%d progress calls, want %d", len(calls), n)
-	}
-	for i, d := range calls {
-		if d != i+1 {
-			t.Fatalf("progress call %d reported done=%d, want %d", i, d, i+1)
-		}
+	for _, workers := range append(workerCounts, 8) {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var calls []int
+			_, _, _, err := Run(context.Background(), n, Options{
+				Workers: workers,
+				Progress: func(done, total int) { // serialized by Run
+					if total != n {
+						t.Errorf("progress total = %d, want %d", total, n)
+					}
+					calls = append(calls, done)
+				},
+			}, noState,
+				func(_ context.Context, i int, _ struct{}) (int, error) { return i, nil })
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if len(calls) != n {
+				t.Fatalf("%d progress calls, want %d", len(calls), n)
+			}
+			for i, d := range calls {
+				if d != i+1 {
+					t.Fatalf("progress call %d reported done=%d, want %d", i, d, i+1)
+				}
+			}
+		})
 	}
 }
 
@@ -164,7 +178,7 @@ func TestParentCancellation(t *testing.T) {
 		}
 		cancel()
 	}()
-	_, err := Run(ctx, 100, Options{Workers: 2}, noState,
+	_, _, _, err := Run(ctx, 100, Options{Workers: 2}, noState,
 		func(ctx context.Context, i int, _ struct{}) (int, error) {
 			atomic.AddInt32(&started, 1)
 			select {
@@ -178,18 +192,18 @@ func TestParentCancellation(t *testing.T) {
 	}
 }
 
-// TestSequentialOracle: Sequential and Run(workers=1) agree with each
-// other and with the obvious loop.
+// TestSequentialOracle: the sequential loop (Workers == 1) and the pool
+// agree with each other and with the obvious loop.
 func TestSequentialOracle(t *testing.T) {
 	const n = 20
 	do := func(_ context.Context, i int, _ struct{}) (int, error) { return 3*i + 1, nil }
-	seq, err := Sequential(context.Background(), n, Options{}, noState, do)
+	seq, _, _, err := Run(context.Background(), n, Options{Workers: 1}, noState, do)
 	if err != nil {
-		t.Fatalf("Sequential: %v", err)
+		t.Fatalf("sequential: %v", err)
 	}
-	par, err := Run(context.Background(), n, Options{Workers: 1}, noState, do)
+	par, _, _, err := Run(context.Background(), n, Options{Workers: 4}, noState, do)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("pool: %v", err)
 	}
 	for i := range seq {
 		if seq[i] != 3*i+1 || par[i] != seq[i] {
@@ -200,7 +214,7 @@ func TestSequentialOracle(t *testing.T) {
 
 // TestZeroCases: an empty sweep returns an empty, non-nil result.
 func TestZeroCases(t *testing.T) {
-	got, err := Run(context.Background(), 0, Options{}, noState,
+	got, _, _, err := Run(context.Background(), 0, Options{}, noState,
 		func(_ context.Context, i int, _ struct{}) (int, error) { return i, nil })
 	if err != nil || got == nil || len(got) != 0 {
 		t.Fatalf("Run(0 cases) = %v, %v; want empty slice, nil error", got, err)
