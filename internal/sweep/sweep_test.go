@@ -14,10 +14,6 @@ import (
 // noState is the worker factory for stateless tests.
 func noState(int) (struct{}, error) { return struct{}{}, nil }
 
-// workerCounts are the pool sizes the worker-count property tests cover:
-// the sequential oracle and two pools.
-var workerCounts = []int{1, 2, 4}
-
 // TestOrderingDeterminism: results must come back indexed by case, not by
 // completion order, even when workers finish in a scrambled sequence.
 func TestOrderingDeterminism(t *testing.T) {
@@ -134,36 +130,26 @@ func TestWorkerFactoryError(t *testing.T) {
 	}
 }
 
-// TestProgressSerialized: at every worker count, done counts must be
-// strictly increasing over the full total and end at n — the callback
-// contract that lets cmd/repro print without locks.
+// TestProgressSerialized: done counts must be strictly increasing and end
+// at n — the callback contract that lets cmd/repro print without locks.
 func TestProgressSerialized(t *testing.T) {
 	const n = 50
-	for _, workers := range append(workerCounts, 8) {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			var calls []int
-			_, _, _, err := Run(context.Background(), n, Options{
-				Workers: workers,
-				Progress: func(done, total int) { // serialized by Run
-					if total != n {
-						t.Errorf("progress total = %d, want %d", total, n)
-					}
-					calls = append(calls, done)
-				},
-			}, noState,
-				func(_ context.Context, i int, _ struct{}) (int, error) { return i, nil })
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			if len(calls) != n {
-				t.Fatalf("%d progress calls, want %d", len(calls), n)
-			}
-			for i, d := range calls {
-				if d != i+1 {
-					t.Fatalf("progress call %d reported done=%d, want %d", i, d, i+1)
-				}
-			}
-		})
+	var calls []int
+	_, _, _, err := Run(context.Background(), n, Options{
+		Workers:  8,
+		Progress: func(done, total int) { calls = append(calls, done) }, // serialized by Run
+	}, noState,
+		func(_ context.Context, i int, _ struct{}) (int, error) { return i, nil })
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(calls) != n {
+		t.Fatalf("%d progress calls, want %d", len(calls), n)
+	}
+	for i, d := range calls {
+		if d != i+1 {
+			t.Fatalf("progress call %d reported done=%d, want %d", i, d, i+1)
+		}
 	}
 }
 
