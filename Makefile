@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test race bench bench-micro check staticcheck metrics-demo logs-demo chaos fuzz serve-smoke serve-crash loadtest
+.PHONY: all vet build test race bench bench-micro check staticcheck metrics-demo logs-demo chaos fuzz accuracy serve-smoke serve-crash loadtest
 
 all: check
 
@@ -46,8 +46,8 @@ chaos:
 
 # Short fuzz pass over the waveform constructor, the crossing scan and the
 # parsers of untrusted input (Liberty, netlist incl. its quantity syntax,
-# Verilog); CI runs the same budget, longer local runs just raise
-# -fuzztime. Each -fuzz pattern is anchored so it matches exactly one
+# Verilog, job-config JSON); CI runs the same budget, longer local runs just
+# raise -fuzztime. Each -fuzz pattern is anchored so it matches exactly one
 # target (a bare FuzzParse would also match FuzzParseQuantity).
 fuzz:
 	$(GO) test -run XXX -fuzz '^FuzzWaveNew$$' -fuzztime 15s ./internal/wave/
@@ -56,6 +56,15 @@ fuzz:
 	$(GO) test -run XXX -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/netlist/
 	$(GO) test -run XXX -fuzz '^FuzzParseQuantity$$' -fuzztime 15s ./internal/netlist/
 	$(GO) test -run XXX -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/verilog/
+	$(GO) test -run XXX -fuzz '^FuzzConfig$$' -fuzztime 15s ./internal/jobs/
+
+# Accuracy gate of the adaptive step control on every case of
+# ACCURACY_table1.json (200 Table 1 alignments × Configurations I and II,
+# recorded at the fixed 1 ps step); `go test ./...` checks every 8th case.
+# Regenerate the baseline with
+# `go test -run '^TestAccuracyTable1$$' ./internal/experiments/ -args -update`.
+accuracy:
+	$(GO) test -count=1 -run '^TestAccuracyTable1$$' ./internal/experiments/ -args -full
 
 # Lint with staticcheck when available (CI installs it; local runs skip
 # gracefully rather than demanding an install).
@@ -100,4 +109,4 @@ serve-crash:
 loadtest:
 	$(GO) run ./cmd/serve -load -load-out LOAD_report.json
 
-check: vet build test race chaos staticcheck serve-smoke serve-crash
+check: vet build test race chaos accuracy staticcheck serve-smoke serve-crash

@@ -47,6 +47,12 @@ type GateSim struct {
 	// (the solver fast path's escape hatch; see internal/spice).
 	NoFastPath bool
 
+	// FixedStep runs every replay at the fixed Step instead of under the
+	// solver's LTE step control (spice.Options.Adaptive), the default.
+	// Fixed step is the accuracy oracle the adaptive default is tested
+	// against.
+	FixedStep bool
+
 	// rec accumulates the recovery-ladder reports of every replay since
 	// the last TakeRecovery call. Like the simulator itself, this is not
 	// safe for concurrent use.
@@ -90,12 +96,14 @@ type gateBenchCfg struct {
 	tele       *telemetry.Registry
 	inject     *faultinject.Injector
 	noFastPath bool
+	fixedStep  bool
 }
 
 func (g *GateSim) cfg() gateBenchCfg {
 	return gateBenchCfg{
 		tech: g.Tech, step: g.Step, outStage: g.OutStage,
 		tele: g.Telemetry, inject: g.Inject, noFastPath: g.NoFastPath,
+		fixedStep: g.FixedStep,
 	}
 }
 
@@ -172,6 +180,7 @@ func (g *GateSim) replayBench() (*gateBench, error) {
 		Telemetry:   g.Telemetry,
 		Inject:      g.Inject,
 		NoFastPath:  g.NoFastPath,
+		Adaptive:    !g.FixedStep,
 		ReuseResult: true,
 	})
 	g.bench = &gateBench{

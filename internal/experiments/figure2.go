@@ -101,6 +101,7 @@ func RunFigure2(cfg xtalk.Config, opts Figure2Options) (*Figure2Series, error) {
 	gate := core.NewInverterChainSim(cfg.Tech,
 		[]float64{cfg.ReceiverDrive, cfg.Load1Drive, cfg.Load2Drive}, cfg.Step)
 	gate.Telemetry = opts.Telemetry
+	gate.FixedStep = cfg.FixedStep
 	start, stop := core.WindowFor(gamma, nOut, 0.2e-9)
 	est, err := gate.OutputForRampCtx(ctx, gamma, start, stop)
 	if err != nil {

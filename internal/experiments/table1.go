@@ -195,6 +195,7 @@ func RunTable1(cfg xtalk.Config, opts Table1Options) (*Table1Result, error) {
 		gate.Telemetry = opts.Telemetry
 		gate.Inject = opts.Inject
 		gate.NoFastPath = opts.NoFastPath
+		gate.FixedStep = cfg.FixedStep
 		bench, err := xtalk.NewBench(cfg)
 		if err != nil {
 			return nil, err

@@ -1,6 +1,8 @@
 package jobs
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -147,6 +149,60 @@ func TestDurableResultsSurviveRestart(t *testing.T) {
 		if (strings.HasPrefix(name, "spice.") || name == "jobs.run_seconds") && hs.Count != 0 {
 			t.Errorf("durable cache hit ran work: histogram %s fired %d times", name, hs.Count)
 		}
+	}
+}
+
+// TestStoreAddressIncludesSolverRevision: a result stored under the address
+// an earlier solver revision computed — the SHA-256 of the config JSON
+// alone — is not served; the job runs and is stored under its new address.
+func TestStoreAddressIncludesSolverRevision(t *testing.T) {
+	lib := testLibertyText(t)
+	dir := t.TempDir()
+	cfg := staConfig(70)
+	cfg.Liberty = lib
+	norm, err := cfg.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(norm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	oldHash := hex.EncodeToString(sum[:])
+	if oldHash == norm.Hash() {
+		t.Fatal("Hash ignores the solver revision")
+	}
+	store, err := openResultStore(filepath.Join(dir, resultsDir), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := &Result{Experiment: ExpSTA, STA: &STAPayload{Design: "stale"}}
+	if err := store.put(oldHash, stale, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := Open(Options{DataDir: dir, Runners: 1, Telemetry: telemetry.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	j, err := m.Submit(cfg, "t", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.CacheHit {
+		t.Fatal("result stored under the pre-revision address was served")
+	}
+	waitDone(t, j)
+	if j.State() != StateDone {
+		t.Fatalf("job state %s err %v", j.State(), j.Err())
+	}
+	if j.Result().STA.Design == "stale" {
+		t.Error("job returned the stale stored result")
+	}
+	if _, ok := store.get(norm.Hash()); !ok {
+		t.Error("fresh result not stored under the revision-qualified address")
 	}
 }
 

@@ -150,17 +150,28 @@ func (c Config) Normalized() (Config, error) {
 	return c, nil
 }
 
+// SolverRevision names the numerical revision of the transient solver
+// behind every result. Hash mixes it into the content address, so a durable
+// store written by a build whose solver produced different numbers (fixed
+// 1 ps steps, before the LTE step control became the default) is never
+// served to this one. Change it whenever a solver change moves any job's
+// numbers.
+const SolverRevision = "spice-lte-1mV-5x"
+
 // Hash returns the content address of a *normalized* config: the SHA-256
-// of its canonical JSON. encoding/json emits struct fields in declaration
-// order and map keys sorted, so equal configs hash equally.
+// of SolverRevision and the config's canonical JSON. encoding/json emits
+// struct fields in declaration order and map keys sorted, so equal configs
+// hash equally.
 func (c Config) Hash() string {
 	b, err := json.Marshal(c)
 	if err != nil {
 		// A Config is plain data; Marshal cannot fail on it.
 		panic(fmt.Sprintf("jobs: marshal config: %v", err))
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	h := sha256.New()
+	h.Write([]byte(SolverRevision + "\n"))
+	h.Write(b)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // State is a job's lifecycle phase.

@@ -91,3 +91,62 @@ func TestAdaptiveMatchesFixedOnGateDelay(t *testing.T) {
 		t.Errorf("delay fixed %.2f ps vs adaptive %.2f ps", fixed*1e12, adaptive*1e12)
 	}
 }
+
+// TestAdaptiveBreakpointRestartsAtStep is the regression test for the
+// adaptive breakpoint bug: a source corner forces two backward-Euler steps,
+// which the LTE check skips, and those steps used to run at the base step
+// grown through the quiet stretch before the corner (up to MaxStep). A ramp
+// met after a long quiet stretch was then integrated by two unchecked
+// first-order MaxStep steps, which moved its crossings by picoseconds. The
+// forced steps now restart from Step.
+func TestAdaptiveBreakpointRestartsAtStep(t *testing.T) {
+	const step = 1e-12
+	build := func() *circuit.Circuit {
+		ckt := circuit.New()
+		in := ckt.Node("in")
+		out := ckt.Node("out")
+		// 3 ns of quiet, then a 100 ps ramp into a 20 ps RC.
+		ckt.AddVSource("vin", in, circuit.Ground, circuit.RampSource(3e-9, 100e-12, 0, 1))
+		ckt.AddResistor(in, out, 1e3)
+		ckt.AddCapacitor(out, circuit.Ground, 20e-15)
+		return ckt
+	}
+	crossing := func(opts Options) (float64, *Result) {
+		res, err := New(build(), opts).Run()
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		w, err := res.Waveform("out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc, err := w.LastCrossing(0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tc, res
+	}
+	fixed, _ := crossing(Options{Stop: 4e-9, Step: step})
+	adaptive, res := crossing(Options{Stop: 4e-9, Step: step, Adaptive: true,
+		LTETol: 1e-3, MaxStep: 20 * step, RecordSteps: true})
+
+	bps := 0
+	for i, st := range res.Trace {
+		if !st.HitBP {
+			continue
+		}
+		bps++
+		for _, next := range res.Trace[i+1 : min(i+3, len(res.Trace))] {
+			if next.H > step*(1+1e-9) {
+				t.Errorf("step after the breakpoint at %.4g ns is %.3g ps, want <= %.3g ps",
+					st.T*1e9, next.H*1e12, step*1e12)
+			}
+		}
+	}
+	if bps != 2 {
+		t.Fatalf("hit %d breakpoints, want the ramp's 2", bps)
+	}
+	if d := math.Abs(adaptive - fixed); d > 0.1e-12 {
+		t.Errorf("adaptive crossing %.4f ps from the fixed-step run, want <= 0.1 ps", d*1e12)
+	}
+}

@@ -590,15 +590,22 @@ func (s *Simulator) stepTransient(res *Result, rec *RecoveryReport, st *transien
 	if st.beSteps > 0 {
 		st.beSteps--
 	}
-	if hitBP {
+	if hitBP || recovered {
+		// Damp the next steps with backward Euler: after a breakpoint
+		// against trapezoidal ringing at the source corner, after the
+		// ladder because the circuit just proved itself hard here. The
+		// LTE check skips these steps, so under Adaptive they restart
+		// from Step rather than at the base grown through the quiet
+		// stretch before (two unchecked first-order MaxStep steps
+		// across a ramp corner moved crossings by picoseconds).
 		st.beSteps = 2
+		if s.opts.Adaptive {
+			st.base = s.opts.Step
+		}
 	}
 	if recovered {
-		// The circuit just proved itself hard at this timepoint: damp
-		// the next steps with backward Euler (as after a breakpoint)
-		// and skip this step's adaptive growth, whose LTE estimate is
+		// Skip this step's adaptive growth, whose LTE estimate is
 		// meaningless across the ladder.
-		st.beSteps = 2
 		return nil
 	}
 	// Adaptive growth through quiet stretches.

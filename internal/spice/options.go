@@ -103,9 +103,9 @@ type Options struct {
 	// initial/base step.
 	Adaptive bool
 	// LTETol is the accepted per-step prediction error on node voltages
-	// (default 2 mV).
+	// (default 1 mV).
 	LTETol float64
-	// MaxStep caps adaptive growth (default 20×Step).
+	// MaxStep caps adaptive growth (default 5×Step).
 	MaxStep float64
 	// MinStep floors adaptive shrinking (default Step/512).
 	MinStep float64
@@ -134,10 +134,10 @@ func (o *Options) validate() error {
 		o.RecoveryBudget = 25
 	}
 	if o.LTETol == 0 {
-		o.LTETol = 2e-3
+		o.LTETol = 1e-3
 	}
 	if o.MaxStep == 0 {
-		o.MaxStep = 20 * o.Step
+		o.MaxStep = 5 * o.Step
 	}
 	if o.MinStep == 0 {
 		o.MinStep = o.Step / 512

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"noisewave/internal/telemetry"
@@ -12,19 +12,31 @@ import (
 
 // TestRunPartialCancellation: at every worker count, canceling mid-sweep
 // must surface the completed subset, flag exactly those indices, and return
-// an error matching telemetry.ErrCanceled.
+// an error matching telemetry.ErrCanceled. Once the context is canceled no
+// further case starts: only the cases other workers had already taken off
+// the queue may still run (at most workers−1).
+//
+// The case that cancels counts and cancels under one lock. With an atomic
+// counter alone, that goroutine could be preempted between reaching
+// stopAfter and calling cancel (common under -race) while the other
+// workers ran every remaining case.
 func TestRunPartialCancellation(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const n, stopAfter = 64, 5
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			var done atomic.Int64
+			var (
+				mu    sync.Mutex
+				calls int
+			)
 			results, completed, _, err := Run(ctx, n, Options{Workers: workers}, noState,
 				func(ctx context.Context, i int, _ struct{}) (int, error) {
-					if done.Add(1) == stopAfter {
+					mu.Lock()
+					if calls++; calls == stopAfter {
 						cancel()
 					}
+					mu.Unlock()
 					return i * i, nil
 				})
 			if err == nil {
@@ -50,8 +62,8 @@ func TestRunPartialCancellation(t *testing.T) {
 					t.Errorf("incomplete case %d holds %d, want zero value", i, results[i])
 				}
 			}
-			if nDone < stopAfter || nDone == n {
-				t.Errorf("%d cases completed, want partial coverage in [%d, %d)", nDone, stopAfter, n)
+			if nDone < stopAfter || nDone > stopAfter+workers-1 {
+				t.Errorf("%d cases completed, want partial coverage in [%d, %d]", nDone, stopAfter, stopAfter+workers-1)
 			}
 		})
 	}

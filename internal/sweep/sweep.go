@@ -267,6 +267,12 @@ func pool[W, R any](ctx context.Context, n, workers int, opts Options, m meters,
 		defer close(indices)
 		m.queueDepth.Set(float64(n))
 		for i := 0; i < n; i++ {
+			// A select with both cases ready picks at random, so it
+			// alone would keep dispatching after a cancellation.
+			if ctx.Err() != nil {
+				m.queueDepth.Set(0)
+				return
+			}
 			select {
 			case indices <- i:
 				m.dispatched.Inc()
@@ -291,6 +297,11 @@ func pool[W, R any](ctx context.Context, n, workers int, opts Options, m meters,
 				return
 			}
 			for i := range indices {
+				if ctx.Err() != nil {
+					// Dispatched as the sweep was canceled: leave the
+					// case incomplete rather than run it.
+					continue
+				}
 				caseStart := time.Now()
 				out, ns := runCase(ctx, opts, i, state, rebuild, do)
 				state = ns

@@ -16,7 +16,7 @@ import (
 // — and a recovery report marked exhausted.
 func TestChaosSalvagePartialWaveforms(t *testing.T) {
 	cfg := fastConfigI()
-	cfg.Inject = faultinject.New(faultinject.Config{NaNEvery: 1, NaNAfter: 700})
+	cfg.Inject = faultinject.New(faultinject.Config{NaNEvery: 1, NaNAfter: 500})
 	in, out, rec, err := cfg.RunReportCtx(context.Background(), 0.3e-9, []float64{0.3e-9})
 	if err == nil {
 		t.Fatal("sustained NaN poisoning did not fail the run")
@@ -30,8 +30,9 @@ func TestChaosSalvagePartialWaveforms(t *testing.T) {
 	if in == nil || out == nil {
 		t.Fatal("no waveform prefixes salvaged")
 	}
-	// ~700 accepted 2 ps steps before the poison starts: the prefix must
-	// reach past the victim transition (edge at 0.3 ns + 150 ps slew).
+	// The poison starts after 500 of the adaptive transient's ~610
+	// solves, at ~1.7 ns: the prefix must reach past the victim
+	// transition (edge at 0.3 ns + 150 ps slew).
 	if in.End() < 1e-9 {
 		t.Errorf("salvaged prefix ends at %.3g s, want ≥ 1 ns", in.End())
 	}
